@@ -26,6 +26,22 @@
 //! lacks the marker entirely) was interrupted mid-write and is
 //! rejected.
 //!
+//! # Journal
+//!
+//! Rewriting the snapshot costs time proportional to every campaign
+//! the daemon retains, so a `submit` ack does not wait for one.
+//! Instead the new campaign is appended to `<path>.journal` — one
+//! campaign line (same shape as above, nothing served, no rows yet),
+//! fsynced — before the client hears its id. [`load`] replays the
+//! journal on top of the snapshot, skipping ids the snapshot already
+//! covers (`id < next_campaign`), so replay is idempotent; the
+//! daemon's periodic snapshot then compacts it, emptying the journal
+//! once the new snapshot is in place. Every line ends in a newline
+//! and is written whole, so the only way to tear the journal is a
+//! crash mid-append — before that submit was acked. [`load`] drops
+//! such a torn tail (and reports it); damage anywhere else is
+//! corruption and refuses to load.
+//!
 //! # Atomicity
 //!
 //! [`save`] writes `<path>.tmp`, fsyncs it, rotates the current
@@ -34,7 +50,9 @@
 //! snapshot plus a garbage `.tmp`, or the new snapshot — and [`load`]
 //! falls back to `.prev` when the main file is torn, so the worst
 //! outcome of a badly-timed kill is resuming from the previous
-//! checkpoint interval.
+//! checkpoint interval. The journal is emptied only after the rename
+//! (and a directory fsync), so an acked campaign is always in the
+//! snapshot, the journal, or both.
 //!
 //! When [`load`] does fall back, the torn main file is quarantined to
 //! `<path>.torn` right then (kept for post-mortem, replaced on the
@@ -46,8 +64,8 @@
 use crate::spec::ExperimentSpec;
 use sfence_harness::json::{self, Json};
 use std::fs;
-use std::io::Write;
-use std::path::Path;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// Bumped when the snapshot layout changes incompatibly. Old
 /// snapshots are rejected with a clear error rather than mis-read.
@@ -79,12 +97,17 @@ pub struct Snapshot {
     pub campaigns: Vec<CampaignSnapshot>,
 }
 
-/// A successfully loaded snapshot, flagged when it came from the
-/// `.prev` fallback instead of the main file.
+/// A successfully loaded snapshot with its journal replayed, flagged
+/// when it came from the `.prev` fallback instead of the main file.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
     pub snapshot: Snapshot,
     pub fallback: bool,
+    /// Campaigns the journal added on top of the snapshot.
+    pub journal_replayed: usize,
+    /// The journal ended in a partial record (a crash mid-append,
+    /// necessarily before that submit was acked); it was dropped.
+    pub journal_torn: bool,
 }
 
 fn prev_path(path: &Path) -> std::path::PathBuf {
@@ -97,6 +120,13 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".tmp");
     std::path::PathBuf::from(name)
+}
+
+/// Where submits are journaled between snapshots.
+pub fn journal_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".journal");
+    PathBuf::from(name)
 }
 
 fn torn_path(path: &Path) -> std::path::PathBuf {
@@ -119,33 +149,69 @@ fn quarantine_torn(path: &Path) -> Result<(), String> {
     })
 }
 
+impl CampaignSnapshot {
+    /// The campaign's line in a snapshot or the journal (no newline).
+    pub fn to_line(&self) -> String {
+        Json::obj()
+            .field("type", "campaign")
+            .field("id", self.id)
+            .field("spec", self.spec.to_json())
+            .field("priority", self.priority)
+            .field("served", self.served)
+            .field("fingerprint", self.fingerprint.as_str())
+            .field("job_count", self.job_count)
+            .field("queue", self.queue.clone())
+            .to_string_compact()
+    }
+
+    fn from_json(doc: &Json) -> Result<CampaignSnapshot, String> {
+        let u64_field = |key: &str| -> Result<u64, String> {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("campaign: missing {key}"))
+        };
+        Ok(CampaignSnapshot {
+            id: u64_field("id")?,
+            spec: ExperimentSpec::from_json(doc.get("spec").ok_or("campaign: missing spec")?)?,
+            priority: u64_field("priority")?,
+            served: u64_field("served")?,
+            fingerprint: doc
+                .get("fingerprint")
+                .and_then(Json::as_str)
+                .ok_or("campaign: missing fingerprint")?
+                .to_string(),
+            job_count: u64_field("job_count")?,
+            queue: doc.get("queue").cloned().ok_or("campaign: missing queue")?,
+        })
+    }
+}
+
+fn header_line(schema_version: u64, next_campaign: u64) -> String {
+    Json::obj()
+        .field("type", "server")
+        .field("checkpoint_version", CHECKPOINT_VERSION)
+        .field("schema_version", schema_version)
+        .field("next_campaign", next_campaign)
+        .to_string_compact()
+}
+
+fn end_line(campaigns: usize) -> String {
+    Json::obj()
+        .field("type", "end")
+        .field("campaigns", campaigns)
+        .to_string_compact()
+}
+
 impl Snapshot {
+    #[cfg(test)]
     fn render(&self) -> String {
-        let mut out = String::new();
-        let header = Json::obj()
-            .field("type", "server")
-            .field("checkpoint_version", CHECKPOINT_VERSION)
-            .field("schema_version", self.schema_version)
-            .field("next_campaign", self.next_campaign);
-        out.push_str(&header.to_string_compact());
+        let mut out = header_line(self.schema_version, self.next_campaign);
         out.push('\n');
         for c in &self.campaigns {
-            let line = Json::obj()
-                .field("type", "campaign")
-                .field("id", c.id)
-                .field("spec", c.spec.to_json())
-                .field("priority", c.priority)
-                .field("served", c.served)
-                .field("fingerprint", c.fingerprint.as_str())
-                .field("job_count", c.job_count)
-                .field("queue", c.queue.clone());
-            out.push_str(&line.to_string_compact());
+            out.push_str(&c.to_line());
             out.push('\n');
         }
-        let end = Json::obj()
-            .field("type", "end")
-            .field("campaigns", self.campaigns.len());
-        out.push_str(&end.to_string_compact());
+        out.push_str(&end_line(self.campaigns.len()));
         out.push('\n');
         out
     }
@@ -182,28 +248,7 @@ impl Snapshot {
             }
             let doc = json::parse(line).map_err(|e| format!("bad line: {e}"))?;
             match doc.get("type").and_then(Json::as_str) {
-                Some("campaign") => {
-                    let u64_field = |key: &str| -> Result<u64, String> {
-                        doc.get(key)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("campaign: missing {key}"))
-                    };
-                    campaigns.push(CampaignSnapshot {
-                        id: u64_field("id")?,
-                        spec: ExperimentSpec::from_json(
-                            doc.get("spec").ok_or("campaign: missing spec")?,
-                        )?,
-                        priority: u64_field("priority")?,
-                        served: u64_field("served")?,
-                        fingerprint: doc
-                            .get("fingerprint")
-                            .and_then(Json::as_str)
-                            .ok_or("campaign: missing fingerprint")?
-                            .to_string(),
-                        job_count: u64_field("job_count")?,
-                        queue: doc.get("queue").cloned().ok_or("campaign: missing queue")?,
-                    });
-                }
+                Some("campaign") => campaigns.push(CampaignSnapshot::from_json(&doc)?),
                 Some("end") => {
                     let count = doc
                         .get("campaigns")
@@ -234,19 +279,200 @@ impl Snapshot {
 /// Write `snapshot` to `path` atomically: temp file + fsync, rotate
 /// the old snapshot to `.prev`, rename into place.
 pub fn save(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
+    let lines = snapshot.campaigns.iter().map(|c| Ok(c.to_line()));
+    save_lines(path, snapshot.schema_version, snapshot.next_campaign, lines).map(|_| ())
+}
+
+/// Where one campaign line sits in a snapshot file (newline
+/// excluded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineSpan {
+    pub offset: u64,
+    pub len: u64,
+}
+
+/// [`save`] from campaign lines ([`CampaignSnapshot::to_line`])
+/// produced one at a time — a daemon copies a finished campaign's
+/// line rather than re-serializing its rows — returning where each
+/// landed in the new snapshot. A line source failing aborts the save
+/// before anything is renamed.
+pub fn save_lines<L: AsRef<str>>(
+    path: &Path,
+    schema_version: u64,
+    next_campaign: u64,
+    lines: impl Iterator<Item = Result<L, String>>,
+) -> Result<Vec<LineSpan>, String> {
     let tmp = tmp_path(path);
+    let mut spans = Vec::new();
     {
-        let mut file =
-            fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-        file.write_all(snapshot.render().as_bytes())
+        let file = fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
+        let mut out = BufWriter::new(file);
+        let mut offset = 0u64;
+        let mut write = |line: &str| -> Result<LineSpan, String> {
+            out.write_all(line.as_bytes())
+                .and_then(|()| out.write_all(b"\n"))
+                .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+            let span = LineSpan {
+                offset,
+                len: line.len() as u64,
+            };
+            offset += span.len + 1;
+            Ok(span)
+        };
+        write(&header_line(schema_version, next_campaign))?;
+        for line in lines {
+            spans.push(write(line?.as_ref())?);
+        }
+        write(&end_line(spans.len()))?;
+        let file = out
+            .into_inner()
             .map_err(|e| format!("write {}: {e}", tmp.display()))?;
         file.sync_all()
             .map_err(|e| format!("sync {}: {e}", tmp.display()))?;
     }
-    if path.exists() {
+    let rotated = path.exists();
+    if rotated {
         fs::rename(path, prev_path(path)).map_err(|e| format!("rotate {}: {e}", path.display()))?;
     }
-    fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", tmp.display()))
+    if let Err(e) = fs::rename(&tmp, path) {
+        // Put the old snapshot back: a caller that failed to save
+        // still finds its previous snapshot where it left it.
+        if rotated {
+            let _ = fs::rename(prev_path(path), path);
+        }
+        return Err(format!("rename {}: {e}", tmp.display()));
+    }
+    // Make the renames durable before anyone empties the journal on
+    // the strength of this snapshot.
+    sync_parent(path);
+    Ok(spans)
+}
+
+/// Make a create or rename in `path`'s directory durable. Best effort:
+/// not every platform can open a directory for syncing.
+fn sync_parent(path: &Path) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(dir) = fs::File::open(dir) {
+            let _ = dir.sync_all();
+        }
+    }
+}
+
+/// Read back one line [`save_lines`] wrote, from an open snapshot.
+pub fn read_line(file: &mut fs::File, span: LineSpan) -> Result<String, String> {
+    let mut buf = vec![0u8; span.len as usize];
+    file.seek(SeekFrom::Start(span.offset))
+        .and_then(|_| file.read_exact(&mut buf))
+        .map_err(|e| format!("read snapshot line: {e}"))?;
+    String::from_utf8(buf).map_err(|e| format!("snapshot line is not UTF-8: {e}"))
+}
+
+/// The append-only submit journal: one fsynced campaign line per
+/// acked submit since the last snapshot.
+#[derive(Debug)]
+pub struct Journal {
+    file: fs::File,
+    path: PathBuf,
+    /// Bytes of whole records; a failed append truncates back here
+    /// so a partial line never precedes the next record.
+    len: u64,
+}
+
+impl Journal {
+    /// Open (creating if needed) the journal of the snapshot at
+    /// `path` for appending.
+    pub fn open(path: &Path) -> Result<Journal, String> {
+        let path = journal_path(path);
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("open {}: {e}", path.display()))?;
+        let len = file
+            .metadata()
+            .map_err(|e| format!("stat {}: {e}", path.display()))?
+            .len();
+        sync_parent(&path);
+        Ok(Journal { file, path, len })
+    }
+
+    /// Append one campaign record and fsync it. Once this returns
+    /// `Ok`, a restarted daemon knows the campaign.
+    pub fn append(&mut self, campaign: &CampaignSnapshot) -> Result<(), String> {
+        let mut line = campaign.to_line();
+        line.push('\n');
+        let written = self
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.sync_data());
+        match written {
+            Ok(()) => {
+                self.len += line.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                let _ = self.file.set_len(self.len);
+                Err(format!("append {}: {e}", self.path.display()))
+            }
+        }
+    }
+
+    /// Forget every record: the snapshot just saved covers them.
+    pub fn clear(&mut self) -> Result<(), String> {
+        self.file
+            .set_len(0)
+            .map_err(|e| format!("truncate {}: {e}", self.path.display()))?;
+        self.len = 0;
+        Ok(())
+    }
+
+    /// Size of the journal's whole records, in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The journal's records, plus whether a torn tail was dropped.
+/// `Ok(None)` when there is no journal file.
+fn read_journal(path: &Path) -> Result<Option<(Vec<CampaignSnapshot>, bool)>, String> {
+    let path = journal_path(path);
+    let text = match fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    let mut records = Vec::new();
+    let mut rest = text.as_str();
+    while !rest.is_empty() {
+        let Some(end) = rest.find('\n') else {
+            // No newline: the append that wrote this never finished.
+            return Ok(Some((records, true)));
+        };
+        let line = &rest[..end];
+        rest = &rest[end + 1..];
+        let parsed = json::parse(line)
+            .map_err(|e| format!("bad JSON: {e}"))
+            .and_then(|doc| match doc.get("type").and_then(Json::as_str) {
+                Some("campaign") => CampaignSnapshot::from_json(&doc),
+                other => Err(format!("unexpected record type {other:?}")),
+            });
+        match parsed {
+            Ok(record) => records.push(record),
+            Err(_) if rest.is_empty() => return Ok(Some((records, true))),
+            Err(e) => {
+                return Err(format!(
+                    "journal {} is corrupt before its tail (record {}): {e}",
+                    path.display(),
+                    records.len() + 1
+                ))
+            }
+        }
+    }
+    Ok(Some((records, false)))
 }
 
 /// Load the snapshot at `path`, falling back to `<path>.prev` if the
@@ -257,19 +483,51 @@ pub fn save(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
 /// none is readable — the operator must intervene rather than
 /// silently restart the world.
 pub fn load(path: &Path) -> Result<Option<LoadedSnapshot>, String> {
+    let loaded = load_snapshot(path)?;
+    let Some((records, torn)) = read_journal(path)? else {
+        return Ok(loaded);
+    };
+    // A journal with no snapshot under it belongs to a daemon that
+    // was killed before its first snapshot: replay onto an empty one.
+    let mut loaded = loaded.unwrap_or(LoadedSnapshot {
+        snapshot: Snapshot {
+            schema_version: sfence_harness::SCHEMA_VERSION,
+            next_campaign: 1,
+            campaigns: Vec::new(),
+        },
+        fallback: false,
+        journal_replayed: 0,
+        journal_torn: false,
+    });
+    loaded.journal_torn = torn;
+    for record in records {
+        // Ids below `next_campaign` are already in the snapshot (or
+        // were evicted after it was taken).
+        if record.id >= loaded.snapshot.next_campaign {
+            loaded.snapshot.next_campaign = record.id + 1;
+            loaded.snapshot.campaigns.push(record);
+            loaded.journal_replayed += 1;
+        }
+    }
+    Ok(Some(loaded))
+}
+
+fn load_snapshot(path: &Path) -> Result<Option<LoadedSnapshot>, String> {
+    let loaded = |snapshot, fallback| {
+        Some(LoadedSnapshot {
+            snapshot,
+            fallback,
+            journal_replayed: 0,
+            journal_torn: false,
+        })
+    };
     let main = read_snapshot(path);
     match main {
-        Some(Ok(snapshot)) => Ok(Some(LoadedSnapshot {
-            snapshot,
-            fallback: false,
-        })),
+        Some(Ok(snapshot)) => Ok(loaded(snapshot, false)),
         Some(Err(main_err)) => match read_snapshot(&prev_path(path)) {
             Some(Ok(snapshot)) => {
                 quarantine_torn(path)?;
-                Ok(Some(LoadedSnapshot {
-                    snapshot,
-                    fallback: true,
-                }))
+                Ok(loaded(snapshot, true))
             }
             Some(Err(prev_err)) => Err(format!(
                 "checkpoint {} unreadable ({main_err}); fallback {} also unreadable ({prev_err})",
@@ -282,10 +540,7 @@ pub fn load(path: &Path) -> Result<Option<LoadedSnapshot>, String> {
             )),
         },
         None => match read_snapshot(&prev_path(path)) {
-            Some(Ok(snapshot)) => Ok(Some(LoadedSnapshot {
-                snapshot,
-                fallback: true,
-            })),
+            Some(Ok(snapshot)) => Ok(loaded(snapshot, true)),
             Some(Err(prev_err)) => Err(format!(
                 "no checkpoint at {} and fallback {} is unreadable ({prev_err})",
                 path.display(),
@@ -359,6 +614,28 @@ mod tests {
         // s1 rotated to .prev intact.
         let prev = read_snapshot(&prev_path(&path)).unwrap().unwrap();
         assert_eq!(prev, s1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saved_lines_can_be_read_back_by_span() {
+        let dir = tmp_dir("spans");
+        let path = dir.join("ckpt.jsonl");
+        let snap = snapshot(4, &[1, 2, 3]);
+        let lines: Vec<String> = snap.campaigns.iter().map(|c| c.to_line()).collect();
+        let spans = save_lines(&path, 4, 4, lines.iter().map(Ok)).unwrap();
+        assert_eq!(load(&path).unwrap().unwrap().snapshot, snap);
+        let mut file = fs::File::open(&path).unwrap();
+        for (line, span) in lines.iter().zip(spans).rev() {
+            assert_eq!(&read_line(&mut file, span).unwrap(), line);
+        }
+        // A failing line source aborts before the rename.
+        let failing = [Ok("x".to_string()), Err("gone".to_string())];
+        assert_eq!(
+            save_lines(&path, 4, 9, failing.into_iter()).unwrap_err(),
+            "gone"
+        );
+        assert_eq!(load(&path).unwrap().unwrap().snapshot, snap);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -442,5 +719,76 @@ mod tests {
         let joined = text.join("\n");
         let err = Snapshot::parse(&joined).unwrap_err();
         assert!(err.contains("end marker says"), "{err}");
+    }
+
+    fn record(id: u64) -> CampaignSnapshot {
+        snapshot(id + 1, &[id]).campaigns.remove(0)
+    }
+
+    #[test]
+    fn journal_replays_on_top_of_the_snapshot_idempotently() {
+        let dir = tmp_dir("journal");
+        let path = dir.join("ckpt.jsonl");
+        save(&path, &snapshot(3, &[1, 2])).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
+        // c2 is already in the snapshot (a crash between a compaction
+        // and its journal clear): replay must skip it.
+        for id in [2, 3, 4] {
+            journal.append(&record(id)).unwrap();
+        }
+        let loaded = load(&path).unwrap().unwrap();
+        assert!(!loaded.journal_torn);
+        assert_eq!(loaded.journal_replayed, 2);
+        assert_eq!(loaded.snapshot.next_campaign, 5);
+        let ids: Vec<u64> = loaded.snapshot.campaigns.iter().map(|c| c.id).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        assert_eq!(loaded.snapshot.campaigns[3], record(4));
+        // Compaction: a snapshot covering everything, then clear.
+        save(&path, &loaded.snapshot).unwrap();
+        journal.clear().unwrap();
+        assert!(journal.is_empty());
+        let again = load(&path).unwrap().unwrap();
+        assert_eq!(again.journal_replayed, 0);
+        assert_eq!(again.snapshot, loaded.snapshot);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_journal_tail_is_detected_and_dropped() {
+        let dir = tmp_dir("journal-torn");
+        let path = dir.join("ckpt.jsonl");
+        save(&path, &snapshot(2, &[1])).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
+        journal.append(&record(2)).unwrap();
+        let whole = journal.len() as usize;
+        journal.append(&record(3)).unwrap();
+        // Cut the last record short: the append a crash interrupted.
+        let text = fs::read_to_string(journal_path(&path)).unwrap();
+        for cut in [whole + 1, whole + 40, text.len() - 1] {
+            fs::write(journal_path(&path), &text[..cut]).unwrap();
+            let loaded = load(&path).unwrap().unwrap();
+            assert!(loaded.journal_torn, "cut at {cut}");
+            let ids: Vec<u64> = loaded.snapshot.campaigns.iter().map(|c| c.id).collect();
+            assert_eq!(ids, [1, 2], "cut at {cut}");
+            assert_eq!(loaded.snapshot.next_campaign, 3);
+        }
+        // Damage before the tail is corruption, not a torn append.
+        let mut damaged = text.clone();
+        damaged.replace_range(2..6, "!!!!");
+        fs::write(journal_path(&path), damaged).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.contains("corrupt"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_without_a_snapshot_replays_onto_an_empty_one() {
+        let dir = tmp_dir("journal-only");
+        let path = dir.join("ckpt.jsonl");
+        Journal::open(&path).unwrap().append(&record(1)).unwrap();
+        let loaded = load(&path).unwrap().unwrap();
+        assert_eq!(loaded.snapshot.next_campaign, 2);
+        assert_eq!(loaded.snapshot.campaigns, vec![record(1)]);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

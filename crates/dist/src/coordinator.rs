@@ -30,10 +30,6 @@ pub struct CoordinatorOpts {
     pub lease_size: usize,
     /// How long a silent (non-heartbeating) worker keeps its leases.
     pub lease_ttl_ms: u64,
-    /// Accept-loop poll / connection read-timeout granularity.
-    pub poll_ms: u64,
-    /// Back-off we tell a worker when everything is leased elsewhere.
-    pub wait_ms: u64,
     /// Suppress per-connection progress lines on stderr.
     pub quiet: bool,
     /// Shared auth token; workers and probes must present it.
@@ -51,8 +47,6 @@ impl Default for CoordinatorOpts {
         CoordinatorOpts {
             lease_size: 4,
             lease_ttl_ms: 30_000,
-            poll_ms: 100,
-            wait_ms: 200,
             quiet: false,
             token: None,
             abort: None,
@@ -104,8 +98,6 @@ pub fn serve(
     let server_opts = ServerOpts {
         default_lease: opts.lease_size,
         lease_ttl_ms: opts.lease_ttl_ms,
-        poll_ms: opts.poll_ms,
-        wait_ms: opts.wait_ms,
         quiet: opts.quiet,
         token: opts.token.clone(),
         exit_when_done: true,

@@ -33,9 +33,9 @@
 //! daemon holds a table of concurrent *campaigns* (one submitted
 //! experiment each), workers lease cells across all of them through a
 //! deterministic weighted fair-share scheduler ([`scheduler`]), the
-//! whole table checkpoints to an atomic-rename JSONL snapshot
-//! ([`checkpoint`]) so a killed daemon resumes every in-flight
-//! campaign, and every client flow (submit / work / fetch / status)
+//! whole table checkpoints to an atomic-rename JSONL snapshot plus a
+//! per-submit journal ([`checkpoint`]) so a killed daemon resumes
+//! every acked campaign, and every client flow (submit / work / fetch / status)
 //! authenticates with a shared token compared in constant time
 //! ([`server::token_matches`]). The one-shot [`coordinator::serve`]
 //! is now a thin wrapper that runs the server with a single fixed

@@ -26,11 +26,18 @@
 //! | c → w | `reject`    | handshake refused (version mismatch, bad token) |
 //! | w → c | `request`   | ask for work; `batch` cells wanted (0 = server default) |
 //! | c → w | `lease`     | campaign id, its spec + fingerprint, leased job indices |
-//! | c → w | `wait`      | nothing pending right now; re-request after `ms` |
+//! | c → w | `wait`      | nothing became pending within the server's park bound; re-request after `ms` (0 from current servers) |
 //! | c → w | `done`      | daemon shutting down (or one-shot campaign complete) |
 //! | w → c | `result`    | completed indexed rows for one campaign + cache accounting |
 //! | w → c | `abort`     | worker cannot run a leased spec (unknown experiment, drift) |
 //! | w → c | `heartbeat` | keep-alive; extends this worker's leases |
+//!
+//! A `request` with nothing pending *parks* on the coordinator until
+//! a lease exists (a submit, a released or expired lease) or the
+//! daemon stops, so a worker gets work the moment it appears instead
+//! of after a back-off nap. A park is bounded by a server constant
+//! well under any worker's silence window; one that runs out answers
+//! `wait {ms: 0}` and the worker asks again at once.
 //!
 //! Unlike v2, the spec rides on every `lease` (workers resolve and
 //! fingerprint-check each campaign the first time they see its id),
@@ -112,22 +119,96 @@ impl std::fmt::Display for FrameError {
 /// keep frames small by construction: results ship in
 /// [`RESULT_CHUNK_ROWS`]-row chunks.)
 pub fn write_msg(w: &mut impl Write, msg: &Msg) -> io::Result<()> {
-    let payload = msg.to_json().to_string_compact();
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME as usize {
+    write_frame(w, &[&msg.to_json().to_string_compact()])
+}
+
+/// Write one frame whose payload is the concatenation of `parts`
+/// (same size check as [`write_msg`]).
+fn write_frame(w: &mut impl Write, parts: &[&str]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    if len > MAX_FRAME as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "message serializes to {} bytes, over the {MAX_FRAME}-byte frame limit",
-                bytes.len()
-            ),
+            format!("message serializes to {len} bytes, over the {MAX_FRAME}-byte frame limit"),
         ));
     }
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
-    w.write_all(&frame)?;
+    let prefix = (len as u32).to_be_bytes();
+    // Small frames go out in one write (one segment on a no-delay
+    // socket); big ones skip the copy.
+    if len <= 64 * 1024 {
+        let mut frame = Vec::with_capacity(4 + len);
+        frame.extend_from_slice(&prefix);
+        for part in parts {
+            frame.extend_from_slice(part.as_bytes());
+        }
+        w.write_all(&frame)?;
+    } else {
+        w.write_all(&prefix)?;
+        for part in parts {
+            w.write_all(part.as_bytes())?;
+        }
+    }
     w.flush()
+}
+
+/// How every `status` frame begins: `Msg::Status`'s serialization up
+/// to its report. [`write_status`] writes the frame around a report's
+/// JSON text and [`read_status`] parses the report straight off the
+/// stream, so a large report crosses the wire without ever being one
+/// JSON tree — or one buffer — on either side.
+const STATUS_PREFIX: &str = "{\"type\":\"status\",\"metrics\":";
+
+/// Write a `status` frame carrying a report's compact JSON text
+/// ([`sfence_obs::metrics::report_json_text`]), byte-identical to
+/// `write_msg(&Msg::Status { metrics: report.to_json() })`.
+pub fn write_status(w: &mut impl Write, report_text: &str) -> io::Result<()> {
+    write_frame(w, &[STATUS_PREFIX, report_text, "}"])
+}
+
+/// Read one whole frame from a blocking stream, expecting a `status`
+/// frame: its report is parsed one metric at a time as it arrives
+/// (`Ok(Ok(report))`). Any other frame (a `reject`, a `done`) is
+/// decoded and handed back (`Ok(Err(msg))`).
+pub fn read_status(
+    r: &mut impl Read,
+) -> Result<Result<sfence_obs::MetricsReport, Msg>, FrameError> {
+    let read_exact = |r: &mut dyn Read, buf: &mut [u8]| {
+        r.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => FrameError::Eof,
+            _ => FrameError::Io(e),
+        })
+    };
+    let mut len = [0u8; 4];
+    read_exact(r, &mut len)?;
+    let len = u32::from_be_bytes(len);
+    if len > MAX_FRAME {
+        return Err(FrameError::Torn(format!(
+            "frame length {len} exceeds the {MAX_FRAME}-byte limit"
+        )));
+    }
+    let mut head = vec![0u8; STATUS_PREFIX.len().min(len as usize)];
+    read_exact(r, &mut head)?;
+    let rest = len as usize - head.len();
+    if head != STATUS_PREFIX.as_bytes() || rest == 0 {
+        head.resize(len as usize, 0);
+        read_exact(r, &mut head[STATUS_PREFIX.len().min(len as usize)..])?;
+        let payload = String::from_utf8(head)
+            .map_err(|e| FrameError::Torn(format!("payload is not UTF-8: {e}")))?;
+        let doc = json::parse(&payload).map_err(|e| FrameError::Torn(format!("bad JSON: {e}")))?;
+        return Msg::from_json(&doc).map(Err).map_err(FrameError::Torn);
+    }
+    // The report (which must fill its share of the frame), then the
+    // frame's closing brace.
+    let report = sfence_obs::MetricsReport::from_json_reader(r.take(rest as u64 - 1))
+        .map_err(FrameError::Torn)?;
+    let mut close = [0u8; 1];
+    read_exact(r, &mut close)?;
+    if close != *b"}" {
+        return Err(FrameError::Torn(
+            "status frame does not end after its report".into(),
+        ));
+    }
+    Ok(Ok(report))
 }
 
 /// An incremental frame reader that survives read timeouts.
@@ -200,6 +281,9 @@ impl<R: Read> FrameReader<R> {
         }
         let total = 4 + len as usize;
         if self.buf.len() < total {
+            // Grow once to the frame's size instead of doubling
+            // through it chunk by chunk.
+            self.buf.reserve_exact(total - self.buf.len());
             return Ok(None);
         }
         let payload = std::str::from_utf8(&self.buf[4..total])
@@ -750,5 +834,38 @@ mod tests {
         }
         let mut reader = FrameReader::new(OneByte(&wire));
         assert_eq!(reader.next_msg().unwrap(), Some(Msg::Wait { ms: 9000 }));
+    }
+
+    #[test]
+    fn status_frames_are_written_and_read_without_a_tree() {
+        let mut reg = sfence_obs::Registry::new();
+        reg.gauge("campaign_done", &[("campaign", "c1")], 3.0);
+        reg.observe("lease_grant_ms", &[("worker", "w#1")], 0.5);
+        let report = reg.snapshot("coordinator");
+        let mut streamed = Vec::new();
+        write_status(&mut streamed, &report.to_json().to_string_compact()).unwrap();
+        let mut via_msg = Vec::new();
+        write_msg(
+            &mut via_msg,
+            &Msg::Status {
+                metrics: report.to_json(),
+            },
+        )
+        .unwrap();
+        assert_eq!(streamed, via_msg, "byte-identical to the Msg encoding");
+        let read = |bytes: &[u8]| read_status(&mut { bytes });
+        assert_eq!(read(&streamed).unwrap().unwrap(), report);
+        let mut done = Vec::new();
+        write_msg(&mut done, &Msg::Done).unwrap();
+        assert_eq!(read(&done).unwrap().unwrap_err(), Msg::Done);
+        // Trailing bytes inside the frame, or a frame cut short, are torn.
+        let mut padded = Vec::new();
+        write_status(
+            &mut padded,
+            &format!("{} x", report.to_json().to_string_compact()),
+        )
+        .unwrap();
+        assert!(matches!(read(&padded), Err(FrameError::Torn(_))));
+        assert!(read(&streamed[..streamed.len() - 5]).is_err());
     }
 }

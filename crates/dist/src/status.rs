@@ -4,9 +4,10 @@
 //! `debug_dump` flow and returns the daemon's flight-recorder ring
 //! (`sfence-dist status` / `sfence-dist dump` are thin wrappers).
 
-use crate::protocol::{write_msg, FrameError, FrameReader, Msg};
+use crate::protocol::{read_status, write_msg, FrameError, FrameReader, Msg};
 use sfence_obs::log::Event;
 use sfence_obs::MetricsReport;
+use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -41,8 +42,19 @@ pub fn fetch_status(
         },
     )
     .map_err(|e| format!("send: {e}"))?;
-    let mut reader = FrameReader::new(stream);
-    match reader.next_msg() {
+    // A busy daemon's report holds a few series per retained
+    // campaign: parse it one metric at a time as it arrives.
+    let reply = match read_status(&mut { stream }) {
+        Ok(Ok(report)) => return Ok(report),
+        Ok(Err(msg)) => Ok(Some(msg)),
+        Err(FrameError::Io(e))
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
+            Ok(None)
+        }
+        Err(e) => Err(e),
+    };
+    match reply {
         Ok(Some(Msg::Status { metrics })) => MetricsReport::from_json(&metrics),
         Ok(Some(Msg::Reject { reason })) => Err(format!("coordinator rejected probe: {reason}")),
         // A `done` here means the service finished before our probe

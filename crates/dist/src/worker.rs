@@ -12,10 +12,14 @@
 //! one on every lease, because the id→experiment binding is only
 //! stable while one daemon's state lives (a daemon restarted without
 //! its checkpoint reissues ids from `c1` for whatever is submitted
-//! next). A heartbeat thread keeps leases alive while cells execute,
-//! and a reconnect loop with capped exponential backoff + jitter
-//! (`--reconnect`) rides out coordinator restarts, so checkpoint
-//! resume is hands-off end to end.
+//! next). Only the [`CAMPAIGN_CACHE`] most recently leased campaigns
+//! are kept, so a worker serving a long-lived daemon does not grow
+//! with its history; a campaign leased again after eviction is simply
+//! resolved and verified again from its lease frame. A heartbeat
+//! thread keeps leases alive while cells execute, and a reconnect
+//! loop with capped exponential backoff + jitter (`--reconnect`)
+//! rides out coordinator restarts, so checkpoint resume is hands-off
+//! end to end.
 
 use crate::protocol::{
     write_msg, FrameError, FrameReader, Msg, PROTOCOL_VERSION, RESULT_CHUNK_ROWS,
@@ -24,12 +28,56 @@ use crate::spec::{ExperimentSpec, Registry};
 use sfence_harness::{host_token, Experiment, ResultCache, RunOptions, SCHEMA_VERSION};
 use sfence_obs::log::{EventLog, LogLevel};
 use sfence_workloads::support::Prng;
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Resolved campaigns a worker keeps, most recently leased first.
+pub const CAMPAIGN_CACHE: usize = 8;
+
+/// Resolved experiments by campaign id, each guarded by the
+/// fingerprint it resolved to; bounded to the [`CAMPAIGN_CACHE`] most
+/// recently leased.
+#[derive(Default)]
+struct Campaigns {
+    recent: Vec<(String, String, Experiment)>,
+}
+
+/// What the cache holds for a leased campaign id.
+enum Cached {
+    /// Resolved under the lease's fingerprint; now the most recent.
+    Hit,
+    Miss,
+    /// Resolved under another fingerprint (the id was rebound by a
+    /// restarted daemon); the entry is dropped.
+    Stale,
+}
+
+impl Campaigns {
+    fn touch(&mut self, campaign: &str, fingerprint: &str) -> Cached {
+        let Some(i) = self.recent.iter().position(|(id, _, _)| id == campaign) else {
+            return Cached::Miss;
+        };
+        let entry = self.recent.remove(i);
+        if entry.1 != fingerprint {
+            return Cached::Stale;
+        }
+        self.recent.insert(0, entry);
+        Cached::Hit
+    }
+
+    /// The experiment of the campaign looked up or inserted last.
+    fn most_recent(&self) -> Option<&Experiment> {
+        self.recent.first().map(|(_, _, experiment)| experiment)
+    }
+
+    fn insert(&mut self, campaign: String, fingerprint: String, experiment: Experiment) {
+        self.recent.insert(0, (campaign, fingerprint, experiment));
+        self.recent.truncate(CAMPAIGN_CACHE);
+    }
+}
 
 /// Tunables of one [`work`] call.
 #[derive(Debug, Clone)]
@@ -67,9 +115,11 @@ pub struct WorkerOpts {
     pub reconnect_base_ms: u64,
     /// Reconnect delay ceiling.
     pub reconnect_cap_ms: u64,
-    /// Exit cleanly after this long with no work offered (`wait`
-    /// replies only); 0 = keep asking forever. Lets a daemon-attached
-    /// worker drain away once its campaigns finish.
+    /// Exit cleanly once this much wall-clock time has passed since
+    /// the session started or last got a lease (`wait` replies only);
+    /// 0 = keep asking forever. Lets a daemon-attached worker drain
+    /// away once its campaigns finish. Checked on each `wait`, so it
+    /// fires within one server park bound of the deadline.
     pub idle_exit_ms: u64,
     /// Event logger for worker lifecycle events. `None` = the worker
     /// builds a stderr-only logger whose verbosity follows `quiet` /
@@ -180,7 +230,7 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
     // coordinator restart already holds the resolved experiments,
     // keyed by campaign id and guarded by the fingerprint each entry
     // resolved to (see the re-verification in the lease loop).
-    let mut campaigns: HashMap<String, (String, Experiment)> = HashMap::new();
+    let mut campaigns = Campaigns::default();
     // Deterministic per-worker jitter stream; seeding off the name
     // decorrelates a fleet launched in the same instant.
     let mut rng = Prng::seed_from_u64(name.bytes().fold(0xfe5ce5u64, |acc, b| {
@@ -259,7 +309,7 @@ fn session(
     registry: Registry,
     opts: &WorkerOpts,
     summary: &mut WorkerSummary,
-    campaigns: &mut HashMap<String, (String, Experiment)>,
+    campaigns: &mut Campaigns,
     cache: &mut Option<ResultCache>,
     attempt: &mut u32,
     log: &EventLog,
@@ -353,7 +403,9 @@ fn session(
     let hb_interval = Duration::from_millis(opts.heartbeat_ms.min(lease_ttl_ms / 3).max(10));
     let heartbeat = std::thread::spawn(move || {
         while !hb_stop.load(Ordering::SeqCst) {
-            std::thread::sleep(hb_interval);
+            // Parked, not asleep: the session's end unparks it, so a
+            // finished worker exits at once instead of after a beat.
+            std::thread::park_timeout(hb_interval);
             if hb_stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -369,12 +421,13 @@ fn session(
     });
     let stop_heartbeat = |result: Result<SessionEnd, SessionError>| {
         stop.store(true, Ordering::SeqCst);
+        heartbeat.thread().unpark();
         let _ = heartbeat.join();
         result
     };
 
     // --- Lease loop -----------------------------------------------
-    let mut idle_ms: u64 = 0;
+    let mut last_lease = Instant::now();
     loop {
         if let Err(e) = send(&Msg::Request {
             batch: opts.lease_batch,
@@ -393,27 +446,23 @@ fn session(
                 job_count,
                 jobs,
             } => {
-                idle_ms = 0;
+                last_lease = Instant::now();
                 // A cached id→experiment binding is only valid while
                 // the daemon state that issued it lives: a daemon
                 // restarted without its checkpoint reissues ids from
                 // c1 for whatever is submitted next. Every lease
                 // frame carries the campaign's fingerprint, so check
                 // it on cache hits too — on mismatch the entry is
-                // stale; drop it and re-resolve below.
-                if campaigns
-                    .get(&campaign)
-                    .is_some_and(|(fp, _)| *fp != coord_fp)
-                {
+                // stale; drop it and re-resolve below. An id evicted
+                // from the bounded cache is re-resolved the same way.
+                let cached = campaigns.touch(&campaign, &coord_fp);
+                if let Cached::Stale = cached {
                     log.warn(
                         "campaign_rebound",
                         &[("worker", name), ("campaign", &campaign)],
                     );
-                    campaigns.remove(&campaign);
                 }
-                // Resolve-and-verify once per campaign; later leases
-                // reuse the cached experiment.
-                if !campaigns.contains_key(&campaign) {
+                if !matches!(cached, Cached::Hit) {
                     let spec = match ExperimentSpec::from_json(&spec) {
                         Ok(spec) => spec,
                         Err(e) => return stop_heartbeat(Err(SessionError::fatal(e))),
@@ -451,9 +500,9 @@ fn session(
                             ("jobs", &job_count.to_string()),
                         ],
                     );
-                    campaigns.insert(campaign.clone(), (fp, experiment));
+                    campaigns.insert(campaign.clone(), fp, experiment);
                 }
-                let (_, experiment) = campaigns.get(&campaign).expect("inserted above");
+                let experiment = campaigns.most_recent().expect("hit or inserted above");
                 if jobs.iter().any(|&j| j >= experiment.job_count()) {
                     let why = format!(
                         "lease for campaign {campaign} contains out-of-range indices: {jobs:?}"
@@ -530,10 +579,10 @@ fn session(
                 executing.store(false, Ordering::SeqCst);
             }
             Msg::Wait { ms } => {
-                let nap = ms.min(5000);
-                std::thread::sleep(Duration::from_millis(nap));
-                idle_ms = idle_ms.saturating_add(nap);
-                if opts.idle_exit_ms > 0 && idle_ms >= opts.idle_exit_ms {
+                std::thread::sleep(Duration::from_millis(ms.min(5000)));
+                if opts.idle_exit_ms > 0
+                    && last_lease.elapsed() >= Duration::from_millis(opts.idle_exit_ms)
+                {
                     return stop_heartbeat(Ok(SessionEnd::Idle));
                 }
             }

@@ -55,8 +55,6 @@ fn test_coordinator_opts() -> CoordinatorOpts {
     CoordinatorOpts {
         lease_size: 2,
         lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
         quiet: true,
         token: None,
         abort: None,

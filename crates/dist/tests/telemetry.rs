@@ -51,8 +51,6 @@ fn test_server_opts() -> ServerOpts {
     ServerOpts {
         default_lease: 2,
         lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
         quiet: true,
         ..ServerOpts::default()
     }

@@ -100,8 +100,6 @@ fn live_coordinator_survives_torn_clients() {
     let opts = CoordinatorOpts {
         lease_size: 2,
         lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
         quiet: true,
         ..CoordinatorOpts::default()
     };

@@ -52,7 +52,8 @@ pub use bridge::{machine_metrics, run_report_metrics, run_stats_metrics};
 pub use expo::prometheus_text;
 pub use log::{install_panic_dump, Event, EventLog, LogLevel, LOG_SCHEMA_VERSION};
 pub use metrics::{
-    HistogramSnapshot, Metric, MetricValue, MetricsReport, Registry, METRICS_SCHEMA_VERSION,
+    HistogramSnapshot, Metric, MetricValue, MetricsReport, Registry, SparseHistogram,
+    METRICS_SCHEMA_VERSION,
 };
 pub use progress::ProgressMeter;
 pub use ring::EventRing;

@@ -9,6 +9,8 @@
 //! [`METRICS_SCHEMA_VERSION`] rather than silently misreading them.
 
 use sfence_harness::Json;
+use std::collections::BTreeMap;
+use std::io::Read;
 
 /// Version tag stamped into every serialized [`MetricsReport`]. Bump
 /// on any incompatible change to the report shape or to the meaning
@@ -30,6 +32,13 @@ pub fn bucket_bound(i: usize) -> f64 {
     } else {
         (2.0f64).powi(i as i32 - 10)
     }
+}
+
+/// The bucket an observation lands in: the first whose bound holds it.
+fn bucket_index(v: f64) -> usize {
+    (0..HIST_BUCKETS)
+        .find(|&i| v <= bucket_bound(i))
+        .unwrap_or(HIST_BUCKETS - 1)
 }
 
 /// Summary of a distribution: count/sum/mean, the observed range, and
@@ -68,10 +77,7 @@ impl HistogramSnapshot {
         }
         self.count += 1;
         self.sum += v;
-        let idx = (0..HIST_BUCKETS)
-            .find(|&i| v <= bucket_bound(i))
-            .unwrap_or(HIST_BUCKETS - 1);
-        self.buckets[idx] += 1;
+        self.buckets[bucket_index(v)] += 1;
     }
 
     /// Fold another snapshot into this one (what the registry does
@@ -133,18 +139,71 @@ impl HistogramSnapshot {
     }
 }
 
+/// A histogram series that stores only its occupied buckets. It
+/// observes exactly like [`HistogramSnapshot`] and expands into one on
+/// demand; a producer that keeps thousands of small series alive (one
+/// per retained campaign, say) pays for the buckets they use rather
+/// than for all 32.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SparseHistogram {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    /// `(bucket index, count)`, ascending by index.
+    buckets: Vec<(u8, u64)>,
+}
+
+impl SparseHistogram {
+    pub fn observe(&mut self, v: f64) {
+        if self.count == 0 {
+            self.min = v;
+            self.max = v;
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.count += 1;
+        self.sum += v;
+        let idx = bucket_index(v) as u8;
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += 1,
+            Err(at) => self.buckets.insert(at, (idx, 1)),
+        }
+    }
+
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The dense snapshot these observations would have produced.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            buckets: [0; HIST_BUCKETS],
+        };
+        for &(i, n) in &self.buckets {
+            h.buckets[i as usize] = n;
+        }
+        h
+    }
+}
+
 /// A metric's value: monotonically accumulated count, point-in-time
 /// level, or distribution summary.
 ///
-/// The histogram variant carries its fixed bucket array inline
-/// (~300 bytes); registries hold at most a few hundred metrics, so
-/// the size skew is cheaper than an indirection on every observe.
-#[allow(clippy::large_enum_variant)]
+/// The histogram's fixed bucket array lives out of line, so a counter
+/// or gauge costs a word or two instead of carrying 32 buckets it
+/// never uses — a status report holds far more gauges than
+/// histograms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(f64),
-    Histogram(HistogramSnapshot),
+    Histogram(Box<HistogramSnapshot>),
 }
 
 impl MetricValue {
@@ -168,12 +227,31 @@ pub struct Metric {
     pub value: MetricValue,
 }
 
+/// A series' identity: its name and its label pairs sorted by key.
+/// Ordering keys this way is exactly the `(name, labels)` order every
+/// snapshot is sorted by.
+type SeriesKey = (String, Vec<(String, String)>);
+
+fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+    let mut labels: Vec<(String, String)> = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    labels.sort();
+    (name.to_string(), labels)
+}
+
 /// An in-memory collection of metrics. Series identity is
 /// `(name, labels)`; repeated writes to the same series accumulate
 /// (counters add, gauges overwrite, histograms merge observations).
+///
+/// Series are indexed by their sorted `(name, labels)` key, so a
+/// write is a logarithmic lookup rather than a scan over every series
+/// — a coordinator's status report holds a handful of series per
+/// retained campaign — and a snapshot is already in export order.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    metrics: Vec<Metric>,
+    series: BTreeMap<SeriesKey, MetricValue>,
 }
 
 impl Registry {
@@ -181,27 +259,13 @@ impl Registry {
         Registry::default()
     }
 
-    fn series(&mut self, name: &str, labels: &[(&str, &str)], init: MetricValue) -> &mut Metric {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        let pos = self
-            .metrics
-            .iter()
-            .position(|m| m.name == name && m.labels == labels);
-        match pos {
-            Some(i) => &mut self.metrics[i],
-            None => {
-                self.metrics.push(Metric {
-                    name: name.to_string(),
-                    labels,
-                    value: init,
-                });
-                self.metrics.last_mut().expect("just pushed")
-            }
-        }
+    fn series(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: MetricValue,
+    ) -> &mut MetricValue {
+        self.series.entry(series_key(name, labels)).or_insert(init)
     }
 
     /// Add `v` to a counter series (creating it at zero).
@@ -210,8 +274,7 @@ impl Registry {
     /// reusing one name for a counter and a gauge is a producer bug,
     /// not a data condition.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        let m = self.series(name, labels, MetricValue::Counter(0));
-        match &mut m.value {
+        match self.series(name, labels, MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c += v,
             other => panic!("metric {name:?} is a {}, not a counter", other.type_name()),
         }
@@ -219,8 +282,7 @@ impl Registry {
 
     /// Set a gauge series to `v` (last write wins).
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let m = self.series(name, labels, MetricValue::Gauge(0.0));
-        match &mut m.value {
+        match self.series(name, labels, MetricValue::Gauge(0.0)) {
             MetricValue::Gauge(g) => *g = v,
             other => panic!("metric {name:?} is a {}, not a gauge", other.type_name()),
         }
@@ -228,9 +290,12 @@ impl Registry {
 
     /// Record one observation into a histogram series.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let m = self.series(name, labels, MetricValue::Histogram(Default::default()));
-        match &mut m.value {
-            MetricValue::Histogram(h) => h.observe(v),
+        self.histogram(name, labels).observe(v);
+    }
+
+    fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut HistogramSnapshot {
+        match self.series(name, labels, MetricValue::Histogram(Box::default())) {
+            MetricValue::Histogram(h) => h,
             other => panic!(
                 "metric {name:?} is a {}, not a histogram",
                 other.type_name()
@@ -240,20 +305,18 @@ impl Registry {
 
     /// Read back a counter (0 if absent); test and display helper.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.find(name, labels)
-            .map(|m| match &m.value {
-                MetricValue::Counter(c) => *c,
-                _ => 0,
-            })
-            .unwrap_or(0)
+        match self.find(name, labels) {
+            Some(MetricValue::Counter(c)) => *c,
+            _ => 0,
+        }
     }
 
     /// Read back a gauge (`None` if absent).
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.find(name, labels).and_then(|m| match &m.value {
-            MetricValue::Gauge(g) => Some(*g),
+        match self.find(name, labels) {
+            Some(MetricValue::Gauge(g)) => Some(*g),
             _ => None,
-        })
+        }
     }
 
     /// Read back a histogram snapshot (`None` if absent).
@@ -262,21 +325,14 @@ impl Registry {
         name: &str,
         labels: &[(&str, &str)],
     ) -> Option<HistogramSnapshot> {
-        self.find(name, labels).and_then(|m| match &m.value {
-            MetricValue::Histogram(h) => Some(*h),
+        match self.find(name, labels) {
+            Some(MetricValue::Histogram(h)) => Some(**h),
             _ => None,
-        })
+        }
     }
 
-    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Metric> {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        self.metrics
-            .iter()
-            .find(|m| m.name == name && m.labels == labels)
+    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        self.series.get(&series_key(name, labels))
     }
 
     /// Fold every series of `other` into this registry under the
@@ -285,49 +341,50 @@ impl Registry {
     /// series in a side registry and splice them into each snapshot
     /// it publishes.
     pub fn absorb(&mut self, other: &Registry) {
-        for m in &other.metrics {
-            let labels: Vec<(&str, &str)> = m
-                .labels
+        for ((name, labels), value) in &other.series {
+            let labels: Vec<(&str, &str)> = labels
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            match &m.value {
-                MetricValue::Counter(c) => self.counter(&m.name, &labels, *c),
-                MetricValue::Gauge(g) => self.gauge(&m.name, &labels, *g),
-                MetricValue::Histogram(h) => {
-                    let slot =
-                        self.series(&m.name, &labels, MetricValue::Histogram(Default::default()));
-                    match &mut slot.value {
-                        MetricValue::Histogram(mine) => mine.merge(h),
-                        other => panic!(
-                            "metric {:?} is a {}, not a histogram",
-                            m.name,
-                            other.type_name()
-                        ),
-                    }
-                }
+            match value {
+                MetricValue::Counter(c) => self.counter(name, &labels, *c),
+                MetricValue::Gauge(g) => self.gauge(name, &labels, *g),
+                MetricValue::Histogram(h) => self.histogram(name, &labels).merge(h),
             }
         }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.series.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.series.len()
     }
 
     /// Freeze the registry into a report: metrics sorted by
     /// `(name, labels)` so serialization is deterministic regardless
     /// of insertion order.
     pub fn snapshot(&self, produced_by: &str) -> MetricsReport {
-        let mut metrics = self.metrics.clone();
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.clone().into_snapshot(produced_by)
+    }
+
+    /// [`Registry::snapshot`] for a registry built only to be
+    /// reported: the series move into the report instead of being
+    /// copied.
+    pub fn into_snapshot(self, produced_by: &str) -> MetricsReport {
         MetricsReport {
             schema_version: METRICS_SCHEMA_VERSION,
             produced_by: produced_by.to_string(),
-            metrics,
+            metrics: self
+                .series
+                .into_iter()
+                .map(|((name, labels), value)| Metric {
+                    name,
+                    labels,
+                    value,
+                })
+                .collect(),
         }
     }
 }
@@ -352,6 +409,54 @@ impl MetricsReport {
                 "metrics",
                 Json::Arr(self.metrics.iter().map(metric_to_json).collect()),
             )
+    }
+
+    /// Parse report JSON text from a byte stream one metric at a
+    /// time: each metric is parsed as soon as it has arrived, so only
+    /// the unparsed tail of the input is ever buffered and the
+    /// transient JSON tree is one metric's — a reader of a large
+    /// report never holds its text, or its tree, beside its metrics.
+    /// Same validation as [`MetricsReport::from_json`].
+    pub fn from_json_reader(input: impl Read) -> Result<MetricsReport, String> {
+        let mut text = TextStream {
+            input,
+            buf: Vec::new(),
+            pos: 0,
+        };
+        let mut header = Json::obj();
+        let mut metrics = None;
+        text.expect(b'{')?;
+        let mut more = text.peek()? != b'}';
+        while more {
+            let key = text.string()?;
+            text.expect(b':')?;
+            if key == "metrics" {
+                text.expect(b'[')?;
+                let mut parsed = Vec::new();
+                while text.peek()? != b']' {
+                    parsed.push(metric_from_json(&text.value()?)?);
+                    if text.peek()? == b',' {
+                        text.pos += 1;
+                    }
+                }
+                text.pos += 1;
+                metrics = Some(parsed);
+            } else {
+                let doc = text.value()?;
+                header = header.field(&key, doc);
+            }
+            more = match text.peek()? {
+                b',' => true,
+                b'}' => false,
+                other => return Err(format!("expected ',' or '}}', got {:?}", other as char)),
+            };
+            text.pos += 1;
+        }
+        text.expect_end()?;
+        header = header.field("metrics", Json::Arr(Vec::new()));
+        let mut report = MetricsReport::from_json(&header)?;
+        report.metrics = metrics.ok_or("missing metrics")?;
+        Ok(report)
     }
 
     /// Parse a report, rejecting any schema version other than
@@ -448,6 +553,158 @@ impl MetricsReport {
     }
 }
 
+/// The compact JSON text of a report (current schema) holding
+/// `metrics`, which must already be in export order — sorted by
+/// `(name, labels)`, as [`Registry::snapshot`] leaves them. Byte for
+/// byte [`MetricsReport::to_json`]'s rendering, produced one metric
+/// at a time, so a producer can stream a large report out of its own
+/// state without materializing it.
+pub fn report_json_text(produced_by: &str, metrics: impl IntoIterator<Item = Metric>) -> String {
+    let mut out = Json::obj()
+        .field("schema_version", METRICS_SCHEMA_VERSION)
+        .field("produced_by", produced_by)
+        .to_string_compact();
+    out.pop(); // reopen the object for the metrics array
+    out.push_str(",\"metrics\":[");
+    for (i, m) in metrics.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&metric_to_json(&m).to_string_compact());
+    }
+    out.push_str("]}");
+    out
+}
+
+/// JSON text arriving from a reader, consumed front to back: enough
+/// structure to walk a report's top-level object and its metrics
+/// array, handing each member value to the real parser whole.
+struct TextStream<R> {
+    input: R,
+    /// Unconsumed input from `pos` on; the consumed prefix is
+    /// dropped as the buffer refills.
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl<R: Read> TextStream<R> {
+    /// Read more input; false at end of input.
+    fn fill(&mut self) -> Result<bool, String> {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        let n = loop {
+            match self.input.read(&mut chunk) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(format!("read report: {e}")),
+            }
+        };
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(n > 0)
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    fn peek(&mut self) -> Result<u8, String> {
+        loop {
+            while self.pos < self.buf.len() && self.buf[self.pos].is_ascii_whitespace() {
+                self.pos += 1;
+            }
+            if self.pos < self.buf.len() {
+                return Ok(self.buf[self.pos]);
+            }
+            if !self.fill()? {
+                return Err("truncated report JSON".into());
+            }
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        match self.peek()? {
+            b if b == byte => {
+                self.pos += 1;
+                Ok(())
+            }
+            other => Err(format!(
+                "expected {:?}, got {:?}",
+                byte as char, other as char
+            )),
+        }
+    }
+
+    /// Nothing but whitespace may follow the document.
+    fn expect_end(&mut self) -> Result<(), String> {
+        loop {
+            if !self.buf[self.pos..].iter().all(u8::is_ascii_whitespace) {
+                return Err("trailing data after the report".into());
+            }
+            self.pos = self.buf.len();
+            if !self.fill()? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Scan from `pos` until `done(byte, depth, in_string)` holds,
+    /// reading more input as needed; returns that index.
+    fn scan_to(&mut self, done: impl Fn(u8, usize, bool) -> bool) -> Result<usize, String> {
+        let (mut i, mut depth, mut in_str) = (self.pos, 0usize, false);
+        loop {
+            while i < self.buf.len() {
+                let b = self.buf[i];
+                if done(b, depth, in_str) {
+                    return Ok(i);
+                }
+                match (in_str, b) {
+                    (true, b'\\') => i += 1,
+                    (_, b'"') => in_str = !in_str,
+                    (false, b'{' | b'[') => depth += 1,
+                    (false, b'}' | b']') => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+                i += 1;
+            }
+            let offset = self.pos;
+            if !self.fill()? {
+                return Err("truncated report JSON".into());
+            }
+            i -= offset;
+        }
+    }
+
+    fn parse(&mut self, end: usize) -> Result<Json, String> {
+        let text = std::str::from_utf8(&self.buf[self.pos..end])
+            .map_err(|e| format!("report is not UTF-8: {e}"))?;
+        let doc = sfence_harness::json::parse(text).map_err(|e| format!("bad report JSON: {e}"))?;
+        self.pos = end;
+        Ok(doc)
+    }
+
+    /// One object key.
+    fn string(&mut self) -> Result<String, String> {
+        if self.peek()? != b'"' {
+            return Err("expected an object key".into());
+        }
+        // The closing quote is the first one met inside the string.
+        let end = self.scan_to(|b, _, in_str| b == b'"' && in_str)?;
+        match self.parse(end + 1)? {
+            Json::Str(key) => Ok(key),
+            _ => Err("expected an object key".into()),
+        }
+    }
+
+    /// One member or element value: everything up to the `,` or
+    /// closing bracket that ends it.
+    fn value(&mut self) -> Result<Json, String> {
+        self.peek()?;
+        let end = self
+            .scan_to(|b, depth, in_str| !in_str && depth == 0 && matches!(b, b',' | b'}' | b']'))?;
+        self.parse(end)
+    }
+}
+
 fn metric_to_json(m: &Metric) -> Json {
     let mut labels = Json::obj();
     for (k, v) in &m.labels {
@@ -521,7 +778,7 @@ fn metric_from_json(json: &Json) -> Result<Metric, String> {
                     .as_u64()
                     .ok_or_else(|| format!("histogram {name:?}: non-integer bucket"))?;
             }
-            MetricValue::Histogram(HistogramSnapshot {
+            MetricValue::Histogram(Box::new(HistogramSnapshot {
                 count: json
                     .get("count")
                     .and_then(Json::as_u64)
@@ -539,7 +796,7 @@ fn metric_from_json(json: &Json) -> Result<Metric, String> {
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("histogram {name:?} missing max"))?,
                 buckets,
-            })
+            }))
         }
         other => return Err(format!("metric {name:?}: unknown type {other:?}")),
     };
@@ -620,6 +877,19 @@ mod tests {
         }
         assert_eq!((flat.p50(), flat.p99()), (3.5, 3.5));
         assert_eq!(HistogramSnapshot::default().p50(), 0.0);
+    }
+
+    #[test]
+    fn sparse_histograms_expand_to_the_dense_snapshot() {
+        let mut dense = HistogramSnapshot::default();
+        let mut sparse = SparseHistogram::default();
+        assert_eq!(sparse.snapshot(), dense);
+        for v in [3.0, 0.25, 3.5, 1e-9, 1e9, 3.0, 0.0] {
+            dense.observe(v);
+            sparse.observe(v);
+        }
+        assert_eq!(sparse.snapshot(), dense);
+        assert_eq!(sparse.count(), 7);
     }
 
     #[test]
@@ -704,5 +974,122 @@ mod tests {
         }
         let err = MetricsReport::from_json(&json).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+    }
+
+    /// One fixed observation sequence: label orders, escaping, a
+    /// side-registry absorb, sub-bucket, mid and +Inf histogram
+    /// samples. Exercises every write path.
+    fn pinned_registry() -> Registry {
+        let mut side = Registry::new();
+        side.observe("lease_ms", &[("worker", "w#2")], 0.0005);
+        side.observe("lease_ms", &[("worker", "w#2")], 3.0);
+        side.observe("lease_ms", &[("campaign", "c1")], 1500000.0);
+        side.counter("frames", &[], 7);
+        let mut reg = Registry::new();
+        reg.counter("cells", &[("kind", "hit"), ("core", "0")], 2);
+        reg.counter("cells", &[("core", "0"), ("kind", "hit")], 3);
+        reg.gauge("depth", &[], 4.0);
+        reg.gauge("depth", &[], 2.5);
+        reg.gauge(
+            "campaign_info",
+            &[("experiment", "fig \"13\""), ("campaign", "c10")],
+            1.0,
+        );
+        reg.gauge(
+            "campaign_info",
+            &[("campaign", "c9"), ("experiment", "litmus")],
+            1.0,
+        );
+        reg.observe("lat", &[], 1.0);
+        reg.observe("lat", &[], 0.25);
+        reg.observe("lat", &[], 64.0);
+        reg.observe("lat", &[], 1e-9);
+        reg.counter("frames", &[], 1);
+        reg.gauge("a_first", &[("z", "1"), ("a", "2")], -0.125);
+        reg.absorb(&side);
+        reg
+    }
+
+    /// The bytes below were produced by the linear-scan registry with
+    /// inline histograms; the indexed layout must reproduce them
+    /// exactly in all three renderings.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        const JSON: &str = r#"{"schema_version":2,"produced_by":"pin","metrics":[{"name":"a_first","labels":{"a":"2","z":"1"},"type":"gauge","value":-0.125},{"name":"campaign_info","labels":{"campaign":"c10","experiment":"fig \"13\""},"type":"gauge","value":1.0},{"name":"campaign_info","labels":{"campaign":"c9","experiment":"litmus"},"type":"gauge","value":1.0},{"name":"cells","labels":{"core":"0","kind":"hit"},"type":"counter","value":5},{"name":"depth","labels":{},"type":"gauge","value":2.5},{"name":"frames","labels":{},"type":"counter","value":8},{"name":"lat","labels":{},"type":"histogram","count":4,"sum":65.250000001,"min":0.000000001,"max":64.0,"buckets":[1,0,0,0,0,0,0,0,1,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},{"name":"lease_ms","labels":{"campaign":"c1"},"type":"histogram","count":1,"sum":1500000.0,"min":1500000.0,"max":1500000.0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},{"name":"lease_ms","labels":{"worker":"w#2"},"type":"histogram","count":2,"sum":3.0005,"min":0.0005,"max":3.0,"buckets":[1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}]}"#;
+        const EXPO: &str = r#"# TYPE sfence_a_first gauge
+sfence_a_first{a="2",z="1"} -0.125
+# TYPE sfence_campaign_info gauge
+sfence_campaign_info{campaign="c10",experiment="fig \"13\""} 1
+sfence_campaign_info{campaign="c9",experiment="litmus"} 1
+# TYPE sfence_cells counter
+sfence_cells{core="0",kind="hit"} 5
+# TYPE sfence_depth gauge
+sfence_depth 2.5
+# TYPE sfence_frames counter
+sfence_frames 8
+# TYPE sfence_lat histogram
+sfence_lat_bucket{le="0.0009765625"} 1
+sfence_lat_bucket{le="0.25"} 2
+sfence_lat_bucket{le="1"} 3
+sfence_lat_bucket{le="64"} 4
+sfence_lat_bucket{le="+Inf"} 4
+sfence_lat_sum 65.250000001
+sfence_lat_count 4
+# TYPE sfence_lease_ms histogram
+sfence_lease_ms_bucket{campaign="c1",le="+Inf"} 1
+sfence_lease_ms_sum{campaign="c1"} 1500000
+sfence_lease_ms_count{campaign="c1"} 1
+sfence_lease_ms_bucket{worker="w#2",le="0.0009765625"} 1
+sfence_lease_ms_bucket{worker="w#2",le="4"} 2
+sfence_lease_ms_bucket{worker="w#2",le="+Inf"} 2
+sfence_lease_ms_sum{worker="w#2"} 3.0005
+sfence_lease_ms_count{worker="w#2"} 2
+"#;
+        const RENDER: &str = r#"a_first{a=2,z=1} -0.125
+campaign_info{campaign=c10,experiment=fig "13"} 1.000
+campaign_info{campaign=c9,experiment=litmus} 1.000
+cells{core=0,kind=hit} 5
+depth 2.500
+frames 8
+lat count=4 mean=16.313 min=0.000 max=64.000 p50=0.250 p95=64.000 p99=64.000
+lease_ms{campaign=c1} count=1 mean=1500000.000 min=1500000.000 max=1500000.000 p50=1500000.000 p95=1500000.000 p99=1500000.000
+lease_ms{worker=w#2} count=2 mean=1.500 min=0.001 max=3.000 p50=0.001 p95=3.000 p99=3.000
+"#;
+        let report = pinned_registry().snapshot("pin");
+        assert_eq!(report.to_json().to_string_compact(), JSON);
+        assert_eq!(crate::expo::prometheus_text(&report, "sfence"), EXPO);
+        assert_eq!(report.render(), RENDER);
+        assert_eq!(pinned_registry().into_snapshot("pin"), report);
+    }
+
+    #[test]
+    fn streaming_text_matches_the_tree_and_round_trips() {
+        let parse = |text: &str| MetricsReport::from_json_reader(text.as_bytes());
+        let report = pinned_registry().snapshot("pin");
+        let text = report_json_text(&report.produced_by, report.metrics.clone());
+        assert_eq!(text, report.to_json().to_string_compact());
+        assert_eq!(parse(&text).unwrap(), report);
+        let pretty = report.to_json().to_string_pretty();
+        assert_eq!(parse(&pretty).unwrap(), report);
+        let empty = Registry::new().snapshot("x");
+        assert_eq!(parse(&empty.to_json().to_string_compact()).unwrap(), empty);
+        assert!(parse(&text[..text.len() - 3]).is_err());
+        assert!(parse(&format!("{text} x")).is_err(), "trailing data");
+        // Input trickling in a byte at a time parses the same.
+        struct Trickle<'a>(&'a [u8]);
+        impl std::io::Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(buf.len()).min(1);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let quoted = pinned_registry().snapshot("p\"in,}");
+        let text = quoted.to_json().to_string_compact();
+        assert_eq!(
+            MetricsReport::from_json_reader(Trickle(text.as_bytes())).unwrap(),
+            quoted
+        );
     }
 }
