@@ -263,7 +263,9 @@ fn run_distributed(
                     abort.store(true, Ordering::SeqCst);
                     return children;
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                // Unparked as soon as serving ends, so the join below
+                // never waits out a poll interval.
+                std::thread::park_timeout(std::time::Duration::from_millis(100));
             }
         })
     };
@@ -274,6 +276,7 @@ fn run_distributed(
     };
     let served = serve(&listener, experiment, &spec, &opts);
     served_done.store(true, Ordering::SeqCst);
+    monitor.thread().unpark();
     // Close the listen socket before waiting: a worker that tries to
     // connect from here on gets an immediate reset instead of a
     // connection nobody will ever serve.

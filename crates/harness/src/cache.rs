@@ -18,13 +18,19 @@
 //! their own file (shard workers use `shard-<i>.jsonl`, the default
 //! writer uses `cache.jsonl`), so concurrent processes never
 //! interleave bytes within a line. Corrupt or truncated lines — the
-//! tail a killed writer leaves behind — and entries with a mismatched
-//! `schema_version` are counted and skipped, never fatal: the cell
-//! simply re-runs and is re-appended.
+//! tail a killed writer leaves behind, or bytes that are not UTF-8 —
+//! and entries with a mismatched `schema_version` are counted and
+//! skipped, never fatal: the cell simply re-runs and is re-appended.
+//!
+//! **Open.** Each file is read once as bytes and split on `\n`; each
+//! line is decoded in one pass by [`RunReport::read_json`], which
+//! reads the final memory image straight into a `Vec<i64>` instead of
+//! building a `Json` tree for it. A line becomes an entry only once it
+//! has been validated as a whole.
 
 use crate::backend::BackendId;
 use crate::hash::sha256_hex;
-use crate::json::{self, Json};
+use crate::json::{self, Json, Reader};
 use crate::session::RunReport;
 use sfence_sim::MachineConfig;
 use sfence_workloads::{Scale, ScopeMode, WorkloadParams};
@@ -203,10 +209,15 @@ impl ResultCache {
             .filter(|p| p.extension().map(|x| x == "jsonl").unwrap_or(false))
             .collect();
         files.sort();
+        let mut line = Vec::new();
         for path in files {
-            for line in BufReader::new(File::open(&path)?).lines() {
-                let line = line?;
-                if line.trim().is_empty() {
+            let mut reader = BufReader::new(File::open(&path)?);
+            loop {
+                line.clear();
+                if reader.read_until(b'\n', &mut line)? == 0 {
+                    break;
+                }
+                if is_blank(&line) {
                     continue;
                 }
                 match parse_entry(&line) {
@@ -265,16 +276,33 @@ impl ResultCache {
     }
 }
 
-fn parse_entry(line: &str) -> Result<(String, RunReport), String> {
-    let doc = json::parse(line)?;
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("missing key")?
-        .to_string();
-    // `RunReport::from_json` rejects mismatched schema_version.
-    let report = RunReport::from_json(doc.get("report").ok_or("missing report")?)?;
-    Ok((key, report))
+/// Whether a line (with or without its `\n`) is blank as `str::trim`
+/// sees it; blank lines are neither entries nor skipped lines.
+fn is_blank(line: &[u8]) -> bool {
+    match line.iter().find(|b| !b.is_ascii_whitespace()) {
+        None => true,
+        // Every entry starts with `{`: no UTF-8 pass on the hot path.
+        Some(b'{') => false,
+        Some(_) => std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty()),
+    }
+}
+
+/// Decode and fully validate one `{"key", "report"}` line in a single
+/// pass, without building a `Json` tree for the report.
+fn parse_entry(line: &[u8]) -> Result<(String, RunReport), String> {
+    let mut r = Reader::new(line);
+    let (mut key, mut report) = (None, None);
+    r.fields(|r, field| {
+        match field {
+            "key" if key.is_none() => key = Some(r.str()?.into_owned()),
+            // `RunReport::read_json` rejects mismatched schema_version.
+            "report" if report.is_none() => report = Some(RunReport::read_json(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    Ok((key.ok_or("missing key")?, report.ok_or("missing report")?))
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! A small, dependency-free JSON value type with a writer and a
-//! strict recursive-descent parser.
+//! strict recursive-descent parser ([`Reader`]), which can also read
+//! typed parts of a document without building a [`Json`] tree.
 //!
 //! The container image carries no external crates, so the harness
 //! rolls its own serialization. Design points that matter here:
@@ -12,6 +13,7 @@
 //! - Floats are written with Rust's shortest-roundtrip `Display`,
 //!   which re-parses to the identical `f64`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON document.
@@ -242,193 +244,366 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Parse a JSON document; rejects trailing garbage.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
+    let mut r = Reader::new(input.as_bytes());
+    let value = r.value()?;
+    r.end()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A byte cursor over one JSON document: the strict recursive-descent
+/// parser behind [`parse`], with typed reads for callers that want
+/// part of a document without building a [`Json`] tree for all of it.
+///
+/// Every read accepts exactly the text [`Reader::value`] accepts and
+/// fails wherever the matching [`Json`] accessor would (a typed read
+/// of `1.0` as an integer fails like `Json::Num(1.0).as_i64()`), so a
+/// caller mixing typed reads, [`Reader::skip`] and `value` keeps
+/// [`parse`]'s accept/reject set. Input need not be valid UTF-8:
+/// strings are validated as they are read, and any other non-ASCII
+/// byte is a syntax error.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == ch {
-        *pos += 1;
+impl<'a> Reader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Succeeds when only whitespace is left.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
         Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", ch as char, *pos))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+    /// Read one value as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.fields(|r, key| {
+                    fields.push((key.to_string(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Validate one value and move past it without building it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.elements(Reader::skip),
+            Some(b'{') => self.fields(|r, _| r.skip()),
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Walk an object, calling `field` with each key and the reader
+    /// positioned at its value, which `field` must consume.
+    pub fn fields(
+        &mut self,
+        mut field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            field(self, &key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
                 }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+    }
+
+    /// Walk an array, calling `element` with the reader positioned at
+    /// each element, which `element` must consume.
+    #[inline]
+    pub fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'[')?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
                 }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let start = *pos;
-                let len = utf8_len(bytes[start]);
-                let chunk = bytes
-                    .get(start..start + len)
-                    .ok_or("truncated UTF-8 sequence")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += len;
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
+    /// Read an array of integers that fit `i64` ([`Json::as_i64`]).
+    pub fn i64_array(&mut self) -> Result<Vec<i64>, String> {
+        // Sized by the commas before the first `]`, exact for an integer
+        // array: a memory image is allocated once, with no regrowth and
+        // no slack. Bounded by the input's length either way.
+        let mut commas = 0;
+        for &b in &self.bytes[self.pos..] {
+            match b {
+                b']' => break,
+                b',' => commas += 1,
+                _ => {}
             }
-            _ => break,
         }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    if text.is_empty() || text == "-" {
-        return Err(format!("invalid number at byte {start}"));
-    }
-    if !is_float {
-        if let Ok(v) = text.parse::<i64>() {
-            // Non-negative integers parse back as UInt so u64 fields
-            // round-trip through their own variant.
-            return Ok(if v >= 0 {
-                Json::UInt(v as u64)
-            } else {
-                Json::Int(v)
+        let mut out = Vec::with_capacity(commas + 1);
+        self.elements(|r| {
+            r.skip_ws();
+            out.push(match r.plain_int() {
+                Some((true, magnitude)) => (magnitude as i64).wrapping_neg(),
+                Some((false, magnitude)) if magnitude <= i64::MAX as u64 => magnitude as i64,
+                _ => r.scalar(Json::as_i64, "an i64")?,
             });
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Read a non-negative integer ([`Json::as_u64`]).
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.scalar(Json::as_u64, "a u64")
+    }
+
+    /// Read a string; borrowed from the input unless it has escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        self.string()
+    }
+
+    /// Consume a `null` if one comes next; otherwise read nothing.
+    pub fn null(&mut self) -> bool {
+        self.skip_ws();
+        let found = self.bytes[self.pos..].starts_with(b"null");
+        if found {
+            self.pos += 4;
         }
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Json::UInt(v));
+        found
+    }
+
+    /// A number read through `accessor`; any other value is an error.
+    #[inline]
+    fn scalar<T>(
+        &mut self,
+        accessor: impl Fn(&Json) -> Option<T>,
+        what: &str,
+    ) -> Result<T, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let value = match self.peek() {
+            Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{') | None => None,
+            Some(_) => accessor(&self.number()?),
+        };
+        value.ok_or_else(|| format!("expected {what} at byte {start}"))
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|e| format!("invalid number {text:?}: {e}"))
+
+    fn expect(&mut self, ch: u8) -> Result<(), String> {
+        if self.peek() == Some(ch) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", ch as char, self.pos))
+        }
+    }
+
+    fn lit(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let bytes = self.bytes;
+        // Allocated at the first escape; until then the string is a
+        // slice of the input.
+        let mut owned: Option<String> = None;
+        loop {
+            // Copy the run up to the next quote or backslash whole.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&bytes[start..self.pos]).map_err(|e| e.to_string())?;
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                _ => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
+            }
+        }
+    }
+
+    /// A number; plain integers take [`Reader::plain_int`], the rest
+    /// [`Reader::number_text`].
+    #[inline]
+    fn number(&mut self) -> Result<Json, String> {
+        match self.plain_int() {
+            // Non-negative integers (`-0` included) come back as UInt
+            // so u64 fields round-trip through their own variant.
+            Some((true, magnitude)) if magnitude != 0 => {
+                Ok(Json::Int((magnitude as i64).wrapping_neg()))
+            }
+            Some((_, magnitude)) => Ok(Json::UInt(magnitude)),
+            None => self.number_text(),
+        }
+    }
+
+    /// Consume a plain integer — digits after an optional `-`, not
+    /// followed by more of a number — whose value fits `u64` (or `i64`
+    /// when negative), accumulating the digits in place. Returns
+    /// `(negative, magnitude)`, or `None` with nothing consumed.
+    #[inline]
+    fn plain_int(&mut self) -> Option<(bool, u64)> {
+        let negative = self.peek() == Some(b'-');
+        let digits = self.pos + usize::from(negative);
+        let (mut end, mut magnitude) = (digits, 0u64);
+        while let Some(&b @ b'0'..=b'9') = self.bytes.get(end) {
+            if magnitude >= u64::MAX / 10 {
+                return None; // this digit may overflow
+            }
+            magnitude = magnitude * 10 + u64::from(b - b'0');
+            end += 1;
+        }
+        let more = matches!(self.bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if end == digits || more || (negative && magnitude > 1 << 63) {
+            return None;
+        }
+        self.pos = end;
+        Some((negative, magnitude))
+    }
+
+    /// The lexer takes a maximal run of `[0-9.eE+-]` after an optional
+    /// leading `-` and hands it to `str::parse`: floats, integers that
+    /// overflow, and malformed runs.
+    #[cold]
+    fn number_text(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if text.is_empty() || text == "-" {
+            return Err(format!("invalid number at byte {start}"));
+        }
+        if !is_float {
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(if v >= 0 {
+                    Json::UInt(v as u64)
+                } else {
+                    Json::Int(v)
+                });
+            }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::UInt(v));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|e| format!("invalid number {text:?}: {e}"))
+    }
 }
 
 impl From<bool> for Json {
@@ -527,6 +702,119 @@ mod tests {
         // Arrays keep element order: [1,2] and [2,1] stay distinct.
         let c = parse("[1,2]").unwrap().canonicalize();
         assert_eq!(c.to_string_compact(), "[1,2]");
+    }
+
+    /// The lexer's accept/reject table. Every expectation was produced
+    /// by the character-at-a-time parser this one replaced (one
+    /// `from_utf8` per string character, every number through
+    /// `str::parse`), so the table pins that grammar, quirks included:
+    /// `-0` and `007` are integers, `+1` and `1.` are floats, `\u`
+    /// takes `u32::from_str_radix`'s sign and surrogates are rejected.
+    #[test]
+    fn lexer_edge_cases_match_the_previous_parser() {
+        use Json::{Int, Num, Str, UInt};
+        let ok: &[(&str, Json)] = &[
+            ("-0", UInt(0)),
+            ("007", UInt(7)),
+            ("-00", UInt(0)),
+            ("0", UInt(0)),
+            ("00000000000000000000000001", UInt(1)),
+            ("1.0", Num(1.0)),
+            ("1e3", Num(1000.0)),
+            ("1E+2", Num(100.0)),
+            ("-0.0", Num(-0.0)),
+            ("+1", Num(1.0)),
+            ("1.", Num(1.0)),
+            (".5", Num(0.5)),
+            ("1e999", Num(f64::INFINITY)),
+            ("-1", Int(-1)),
+            ("9223372036854775807", UInt(9223372036854775807)),
+            ("9223372036854775808", UInt(9223372036854775808)),
+            ("18446744073709551615", UInt(u64::MAX)),
+            ("18446744073709551616", Num(1.8446744073709552e19)),
+            ("-9223372036854775808", Int(i64::MIN)),
+            ("-9223372036854775809", Num(-9.223372036854776e18)),
+            ("[007,-0]", Json::Arr(vec![UInt(7), UInt(0)])),
+            (
+                r#""a\"b\\c\/d\n\r\t\b\f""#,
+                Str("a\"b\\c/d\n\r\t\u{8}\u{c}".into()),
+            ),
+            (r#""\u0041\u00e9""#, Str("A\u{e9}".into())),
+            (r#""\u+041""#, Str("A".into())),
+            (
+                "\"h\u{e9}llo \u{2713} \u{1d11e}\"",
+                Str("h\u{e9}llo \u{2713} \u{1d11e}".into()),
+            ),
+            ("\"tab\there\"", Str("tab\there".into())),
+            ("\"\"", Str(String::new())),
+        ];
+        for (text, want) in ok {
+            let got = parse(text).unwrap_or_else(|e| panic!("{text:?} rejected: {e}"));
+            // `PartialEq` on f64 would also accept a variant change of
+            // an integral value; compare the variants through Debug.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{text:?}");
+        }
+        let rejected = [
+            "1-2",
+            "--1",
+            "-",
+            "1e",
+            "\"abc",
+            "\"\u{e9}",
+            "\"a\\",
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u00zz""#,
+            r#""\ud800""#,
+        ];
+        for text in rejected {
+            assert!(parse(text).is_err(), "{text:?} accepted");
+        }
+    }
+
+    /// Typed reads accept what `value` accepts and the matching
+    /// accessor takes, and skip validates what it passes over.
+    #[test]
+    fn typed_reads_agree_with_the_tree() {
+        let mut r = Reader::new(br#"{"a":[1,-2,0],"s":"x\ny","n":null,"u":7,"z":[{"q":[]}]}"#);
+        let mut seen = Vec::new();
+        r.fields(|r, key| {
+            match key {
+                "a" => assert_eq!(r.i64_array()?, vec![1, -2, 0]),
+                "s" => assert_eq!(r.str()?, "x\ny"),
+                "n" => assert!(r.null()),
+                "u" => assert_eq!(r.u64()?, 7),
+                _ => r.skip()?,
+            }
+            seen.push(key.to_string());
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        assert_eq!(seen, ["a", "s", "n", "u", "z"]);
+
+        for bad in [
+            "[1.0]",
+            "[null]",
+            "[\"1\"]",
+            "[18446744073709551615]",
+            "[1,]",
+            "1",
+        ] {
+            assert!(Reader::new(bad.as_bytes()).i64_array().is_err(), "{bad}");
+        }
+        for bad in ["-1", "1.5", "\"7\"", "null"] {
+            assert!(Reader::new(bad.as_bytes()).u64().is_err(), "{bad}");
+        }
+        let bad_values: [&[u8]; 5] = [b"[1,]", b"{\"a\"}", b"\"\\q\"", b"tru", b"[\"\xff\"]"];
+        for bad in bad_values {
+            assert!(Reader::new(bad).skip().is_err(), "{bad:?}");
+        }
+        // Strings without escapes are borrowed from the input.
+        assert!(matches!(
+            Reader::new(b"\"plain\"").str(),
+            Ok(Cow::Borrowed("plain"))
+        ));
     }
 
     #[test]

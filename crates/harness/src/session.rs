@@ -10,7 +10,7 @@
 //! above the session.
 
 use crate::backend::{Backend, BackendId, SimBackend};
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use sfence_core::{PipeEvent, RetiredEvent, ScopeUnitStats};
 use sfence_cpu::CoreStats;
 use sfence_isa::{Addr, ClassId, FenceKind, Program};
@@ -212,8 +212,8 @@ pub struct RunReport {
     /// **In-memory only**: deliberately excluded from
     /// [`RunReport::to_json`] — pipe events never enter caches,
     /// stores, shard rows or golden digests, so enabling tracing can
-    /// never change a serialized artifact. `from_json` yields an
-    /// empty trace.
+    /// never change a serialized artifact. [`RunReport::read_json`]
+    /// yields an empty trace.
     pub pipe: Vec<PipeEvent>,
     /// Final flat memory image (empty on the enumerative backend).
     pub mem: Vec<i64>,
@@ -347,27 +347,72 @@ impl RunReport {
             )
     }
 
-    pub fn from_json(json: &Json) -> Result<RunReport, String> {
-        let version = get_u64(json, "schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {version} (supported: {SCHEMA_VERSION})"
-            ));
+    /// Decode one report object from `r` in a single pass. `mem`,
+    /// `regs` and `sc_states` — nearly all of a cached report's
+    /// bytes — are read straight into vectors; the other fields are
+    /// read as small [`Json`] values. Fields may come in any order,
+    /// unknown ones are skipped, the first of duplicate fields wins
+    /// (as [`Json::get`] does) and a missing required field or a
+    /// `schema_version` other than [`SCHEMA_VERSION`] is an error.
+    pub fn read_json(r: &mut Reader) -> Result<RunReport, String> {
+        const SMALL_FIELDS: [&str; 10] = [
+            "backend",
+            "exit",
+            "cycles",
+            "core_stats",
+            "mem_stats",
+            "scope_stats",
+            "scope_coverage",
+            "watch_log",
+            "traces",
+            "sc_states_explored",
+        ];
+        let mut small = Vec::new();
+        let mut versioned = false;
+        let (mut mem, mut regs, mut sc_states) = (None, None, None);
+        r.fields(|r, key| {
+            match key {
+                // Checked as soon as it is read: writers put it first,
+                // so a stale entry is rejected before its memory image.
+                "schema_version" if !versioned => {
+                    let v = r.u64()?;
+                    if v != SCHEMA_VERSION {
+                        return Err(format!("schema_version {v} (supported: {SCHEMA_VERSION})"));
+                    }
+                    versioned = true;
+                }
+                "mem" if mem.is_none() => mem = Some(r.i64_array()?),
+                "regs" if regs.is_none() => regs = Some(read_i64_rows(r)?),
+                "sc_states" if sc_states.is_none() => {
+                    sc_states = Some(if r.null() {
+                        None
+                    } else {
+                        Some(read_i64_rows(r)?)
+                    })
+                }
+                _ if SMALL_FIELDS.contains(&key) => small.push((key.to_string(), r.value()?)),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        if !versioned {
+            return Err("missing u64 field \"schema_version\"".into());
         }
+        let json = Json::Obj(small);
         Ok(RunReport {
-            backend: BackendId::parse(get_str(json, "backend")?)?,
-            exit: exit_from_str(get_str(json, "exit")?)?,
-            cycles: get_opt_u64(json, "cycles")?,
-            core_stats: get_arr(json, "core_stats")?
+            backend: BackendId::parse(get_str(&json, "backend")?)?,
+            exit: exit_from_str(get_str(&json, "exit")?)?,
+            cycles: get_opt_u64(&json, "cycles")?,
+            core_stats: get_arr(&json, "core_stats")?
                 .iter()
                 .map(core_stats_from_json)
                 .collect::<Result<_, _>>()?,
             mem_stats: mem_stats_from_json(json.get("mem_stats").ok_or("missing mem_stats")?)?,
-            scope_stats: get_arr(json, "scope_stats")?
+            scope_stats: get_arr(&json, "scope_stats")?
                 .iter()
                 .map(scope_stats_from_json)
                 .collect::<Result<_, _>>()?,
-            scope_coverage: get_arr(json, "scope_coverage")?
+            scope_coverage: get_arr(&json, "scope_coverage")?
                 .iter()
                 .map(|b| {
                     b.as_u64()
@@ -375,11 +420,11 @@ impl RunReport {
                         .ok_or_else(|| "bad coverage bitmap".to_string())
                 })
                 .collect::<Result<_, _>>()?,
-            watch_log: get_arr(json, "watch_log")?
+            watch_log: get_arr(&json, "watch_log")?
                 .iter()
                 .map(watch_event_from_json)
                 .collect::<Result<_, _>>()?,
-            traces: get_arr(json, "traces")?
+            traces: get_arr(&json, "traces")?
                 .iter()
                 .map(|t| {
                     t.as_arr()
@@ -391,39 +436,22 @@ impl RunReport {
                 .collect::<Result<_, _>>()?,
             // Pipe traces are in-memory only (see the field docs).
             pipe: Vec::new(),
-            mem: get_arr(json, "mem")?
-                .iter()
-                .map(|w| w.as_i64().ok_or_else(|| "bad memory word".to_string()))
-                .collect::<Result<_, _>>()?,
-            regs: get_arr(json, "regs")?
-                .iter()
-                .map(|core| {
-                    core.as_arr()
-                        .ok_or_else(|| "core regs is not an array".to_string())?
-                        .iter()
-                        .map(|w| w.as_i64().ok_or_else(|| "bad register word".to_string()))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<_, _>>()?,
-            sc_states: match json.get("sc_states") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_arr()
-                        .ok_or("sc_states is not an array")?
-                        .iter()
-                        .map(|s| {
-                            s.as_arr()
-                                .ok_or_else(|| "sc state is not an array".to_string())?
-                                .iter()
-                                .map(|w| w.as_i64().ok_or_else(|| "bad sc state word".to_string()))
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-            },
-            sc_states_explored: get_opt_u64(json, "sc_states_explored")?,
+            mem: mem.ok_or("missing array field \"mem\"")?,
+            regs: regs.ok_or("missing array field \"regs\"")?,
+            sc_states: sc_states.flatten(),
+            sc_states_explored: get_opt_u64(&json, "sc_states_explored")?,
         })
     }
+}
+
+/// An array of `i64` arrays (`regs`, `sc_states`).
+fn read_i64_rows(r: &mut Reader) -> Result<Vec<Vec<i64>>, String> {
+    let mut rows = Vec::new();
+    r.elements(|r| {
+        rows.push(r.i64_array()?);
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 fn exit_str(exit: RunExit) -> &'static str {

@@ -294,3 +294,149 @@ fn old_schema_v2_entries_are_skipped_not_fatal() {
     assert_eq!(second.stats.cache_hits, exp.job_count());
     assert_eq!(second.stats.executed, 0);
 }
+
+#[test]
+fn line_that_is_not_utf8_is_skipped_not_fatal() {
+    let dir = scratch_dir("utf8");
+    let exp = small_experiment();
+    let mut cache = ResultCache::open(&dir).unwrap();
+    exp.run_with(RunOptions::new(2).cache(&mut cache));
+    drop(cache);
+
+    // A stray line of invalid UTF-8 between two good entries, and one
+    // inside an otherwise well-formed entry's string.
+    let path = dir.join("cache.jsonl");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut bytes = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        if i == 0 {
+            bytes.extend_from_slice(b"\xff\xfe not utf-8 \xc3\n");
+            bytes.extend_from_slice(b"{\"key\":\"\xc3\x28\",\"report\":{}}\n");
+        }
+    }
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut cache = ResultCache::open(&dir).unwrap();
+    assert_eq!(cache.skipped_lines(), 2);
+    assert_eq!(cache.len(), exp.job_count(), "every good entry still loads");
+    let outcome = exp.run_with(RunOptions::new(2).cache(&mut cache));
+    assert_eq!(outcome.stats.executed, 0);
+}
+
+/// One real Small-scale cache line: `(key, report, line bytes)`.
+fn real_cache_line() -> (String, sfence_harness::RunReport, Vec<u8>) {
+    let dir = scratch_dir("real-line");
+    let exp = Experiment::new("one-line")
+        .workloads(["dekker"], WorkloadParams::small())
+        .fences(vec![FenceConfig::SFENCE]);
+    let mut cache = ResultCache::open(&dir).unwrap();
+    assert_eq!(
+        exp.run_with(RunOptions::new(1).cache(&mut cache))
+            .stats
+            .executed,
+        1
+    );
+    let key = exp.job_keys().remove(0);
+    let report = cache.get(&key).unwrap().clone();
+    let mut line = std::fs::read(dir.join("cache.jsonl")).unwrap();
+    assert_eq!(line.pop(), Some(b'\n'));
+    assert!(!line.contains(&b'\n'), "one entry, one line");
+    (key, report, line)
+}
+
+/// Write `lines` (one entry each) into a fresh cache directory and
+/// open it.
+fn open_lines(tag: &str, lines: &[Vec<u8>]) -> ResultCache {
+    let dir = scratch_dir(tag);
+    let mut bytes = Vec::new();
+    for line in lines {
+        bytes.extend_from_slice(line);
+        bytes.push(b'\n');
+    }
+    std::fs::write(dir.join("lines.jsonl"), bytes).unwrap();
+    ResultCache::open(&dir).unwrap()
+}
+
+#[test]
+fn torn_prefixes_of_a_real_line_are_skipped_and_the_whole_line_round_trips() {
+    let (key, report, line) = real_cache_line();
+    assert!(!report.mem.is_empty() && !report.regs.is_empty());
+
+    // The full line decodes to a report that re-serializes to the
+    // very same bytes.
+    let cache = open_lines("whole", std::slice::from_ref(&line));
+    assert_eq!(cache.skipped_lines(), 0);
+    let back = cache.get(&key).expect("the whole line loads");
+    assert_eq!(back, &report);
+    let again = Json::obj()
+        .field("key", key.as_str())
+        .field("report", back.to_json())
+        .to_string_compact();
+    assert_eq!(again.as_bytes(), &line[..]);
+
+    // Every proper prefix — each byte offset near the structured head
+    // and tail, a fine stride through the memory image between — is
+    // a torn write: counted and skipped, never loaded.
+    let n = line.len();
+    let cuts: Vec<usize> = (1..n)
+        .filter(|&cut| cut < 400 || cut > n - 400 || cut % 97 == 0)
+        .collect();
+    let prefixes: Vec<Vec<u8>> = cuts.iter().map(|&cut| line[..cut].to_vec()).collect();
+    let cache = open_lines("torn", &prefixes);
+    assert_eq!(cache.skipped_lines(), prefixes.len() as u64);
+    assert!(cache.is_empty(), "no proper prefix may load");
+}
+
+#[test]
+fn reordered_and_extended_entries_decode_to_the_same_report() {
+    let (key, report, line) = real_cache_line();
+    let entry = json::parse(std::str::from_utf8(&line).unwrap()).unwrap();
+    let Some(Json::Obj(fields)) = entry.get("report").cloned() else {
+        panic!("report is an object");
+    };
+    let with_report = |fields: Vec<(String, Json)>| {
+        Json::obj()
+            .field("key", key.as_str())
+            .field("report", Json::Obj(fields))
+            .to_string_compact()
+            .into_bytes()
+    };
+
+    // Fields in reverse order, plus an unknown field and a duplicate
+    // `mem` and `schema_version` after the originals (the first of
+    // duplicates wins).
+    let mut reversed = fields.clone();
+    reversed.reverse();
+    let mut extended = fields.clone();
+    extended.insert(
+        3,
+        (
+            "future_field".into(),
+            json::parse(r#"{"a":[1.5,"x",null]}"#).unwrap(),
+        ),
+    );
+    extended.push(("mem".into(), Json::Arr(vec![Json::Num(0.5)])));
+    extended.push(("schema_version".into(), Json::UInt(999)));
+    let cache = open_lines("variants", &[with_report(reversed)]);
+    assert_eq!(cache.get(&key), Some(&report), "permuted field order");
+    let cache = open_lines("variants", &[with_report(extended)]);
+    assert_eq!(
+        cache.get(&key),
+        Some(&report),
+        "unknown and duplicate fields"
+    );
+
+    // A future schema version is rejected wherever it sits — here
+    // after the memory image.
+    let mut late_version: Vec<(String, Json)> = fields
+        .into_iter()
+        .filter(|(k, _)| k != "schema_version")
+        .collect();
+    let mem_at = late_version.iter().position(|(k, _)| k == "mem").unwrap();
+    late_version.insert(mem_at + 1, ("schema_version".into(), Json::UInt(999)));
+    let cache = open_lines("late-version", &[with_report(late_version)]);
+    assert!(cache.is_empty());
+    assert_eq!(cache.skipped_lines(), 1);
+}

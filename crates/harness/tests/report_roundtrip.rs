@@ -1,11 +1,20 @@
-//! `RunReport` JSON round-trip: serialize → parse → deserialize must
+//! `RunReport` JSON round-trip: serialize → decode the text must
 //! reproduce the exact report, including watch log, traces and the
 //! final memory image.
 
-use sfence_harness::{json, RunReport, Session};
+use sfence_harness::json::{self, Reader};
+use sfence_harness::{RunReport, Session};
 use sfence_isa::ir::{c, ld, IrProgram};
 use sfence_isa::CompileOpts;
 use sfence_sim::FenceConfig;
+
+/// Decode a whole report document from its text.
+fn decode(text: &str) -> RunReport {
+    let mut r = Reader::new(text.as_bytes());
+    let report = RunReport::read_json(&mut r).expect("report deserializes");
+    r.end().expect("nothing after the report");
+    report
+}
 
 fn sample_report() -> RunReport {
     let mut p = IrProgram::new();
@@ -55,8 +64,7 @@ fn run_report_round_trips_through_json() {
     );
 
     let text = report.to_json().to_string_pretty();
-    let parsed = json::parse(&text).expect("report JSON parses");
-    let back = RunReport::from_json(&parsed).expect("report deserializes");
+    let back = decode(&text);
     assert_eq!(back, report);
     // Fixed point: serializing again yields identical bytes.
     assert_eq!(back.to_json().to_string_pretty(), text);
@@ -108,8 +116,7 @@ fn functional_and_enumerative_reports_round_trip() {
 
     for report in [functional, enumerative] {
         let text = report.to_json().to_string_pretty();
-        let parsed = json::parse(&text).expect("report JSON parses");
-        let back = RunReport::from_json(&parsed).expect("report deserializes");
+        let back = decode(&text);
         assert_eq!(back, report);
         assert_eq!(back.to_json().to_string_pretty(), text);
     }
